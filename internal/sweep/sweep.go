@@ -52,6 +52,12 @@ import (
 // bump this whenever a change alters simulation results.
 const CodeVersion = "multinoc-sim-7"
 
+// ResultFingerprint is the hash of the Results that CodeVersion's
+// simulator computes for a fixed canonical job set
+// (TestResultFingerprint). A change that alters it alters results, so
+// it must bump CodeVersion in the same change.
+const ResultFingerprint = "6301ee27f4a3a2cac7a030fb8088a15a"
+
 // JobSpec is one sweep job: a design-space point plus per-job
 // robustness knobs. The embedded TrafficJob is the job's identity (see
 // Key); the knobs only shape how hard the service tries to compute it.
