@@ -1,10 +1,9 @@
-// Command experiments regenerates every experiment of EXPERIMENTS.md:
-// one section per quantitative claim or figure of the paper, with
-// paper-vs-measured values (see DESIGN.md §5 for the index).
+// Command experiments regenerates the paper-vs-measured report: one
+// markdown section per quantitative claim or figure of the paper.
 //
 // Usage:
 //
-//	experiments [-o EXPERIMENTS.md] [-only E1,E8]
+//	experiments [-o report.md] [-only E1,E8]
 package main
 
 import (

@@ -24,20 +24,15 @@
 // (sim.Clock.RunUntilQuiescent, core.System.DrainIO) instead of
 // stepping a guessed cycle count.
 //
-// The NoC wire protocol itself is event-driven in steady state: once a
-// wormhole connection is established and the receiving buffer has
-// slack, each flit of the 2-cycle asynchronous handshake moves on
-// timer-paced events instead of re-evaluating both sides of the link
-// every cycle (the same run-batching technique the UARTs use for bit
-// edges). The stepped handshake remains the reference and the fallback
-// at connection open and close, buffer-full backpressure, arbitration
-// boundaries, traced links, and clock-domain crossings;
-// noc.Network.SetFlitStreaming(false) pins it for differential testing,
-// and the streaming path is bit-identical to it on traffic results,
-// router statistics, VCD dumps, and boot transcripts. Flits themselves
-// are two-word values — data plus a noc.PacketID indexing a
-// network-owned metadata table — so the steady-state flit path
-// allocates nothing.
+// The NoC wire protocol is the paper's 2-cycle asynchronous handshake,
+// stepped on registered tx/data/ack wires: the sender drives tx with a
+// flit, the receiver raises ack for one cycle when it accepts, and the
+// sender presents the next flit once it sees the ack. A port whose
+// handshake is at rest is skipped, and a router or endpoint with every
+// handshake at rest sleeps until the rising tx of an incoming link
+// wakes it. Flits themselves are two-word values — data plus a
+// noc.PacketID indexing a network-owned metadata table — so the
+// steady-state flit path allocates nothing.
 //
 // The system can additionally be sharded into GALS-style clock domains
 // (sim.Group): the mesh is partitioned into per-region domains
@@ -83,9 +78,8 @@
 // restarted server resume unfinished jobs while serving finished ones
 // from a dedupe cache keyed by (canonical config, seed, code version).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate every experiment; the
-// binaries under cmd/ and the programs under examples/ exercise the
-// public API.
+// cmd/experiments prints the paper-vs-measured report, one section per
+// quantitative claim or figure of the paper. The benchmarks in
+// bench_test.go regenerate every experiment; the binaries under cmd/
+// and the programs under examples/ exercise the public API.
 package repro

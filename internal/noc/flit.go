@@ -5,33 +5,6 @@
 // paper. The package also provides the nine packet services the NoC
 // offers to its IP cores.
 //
-// # Event-per-flit streaming
-//
-// The 2-cycle handshake is modelled two ways. The stepped reference
-// evaluates both sides of a link every cycle: the sender drives tx and
-// data, the receiver raises ack for one cycle when it accepts, the
-// sender observes the ack two cycles after driving. The streaming fast
-// path recognises a link in steady state — a wormhole connection
-// established, flits queued behind it, free slack in the receiving
-// buffer — and moves each flit with timer-paced events instead: the
-// receiver pulls on its accept cycles and schedules the sender's
-// completion bookkeeping one cycle later, so neither side is evaluated
-// on cycles where the handshake could not change. Every externally
-// observable effect (buffer pushes and pops, statistics, wire values at
-// connection boundaries, delivery cycles) lands on exactly the cycle
-// the stepped reference produces it, so the two paths are bit-identical
-// on traffic results, router statistics, VCD dumps, and core boot
-// transcripts — the TestStreaming* differentials in this package,
-// internal/traffic, and internal/core pin that equivalence.
-//
-// Streaming engages per link and falls back to the stepped handshake at
-// every boundary it cannot batch across: connection open (header
-// routing and arbitration) and close (tail flit), buffer-full
-// backpressure, links with a VCD trace attached, and clock-domain
-// crossings (a cross-domain link's two halves live on different
-// Clocks). Network.SetFlitStreaming(false) disables it entirely,
-// keeping the stepped path as the differential reference.
-//
 // # Flit metadata
 //
 // A Flit carries only its data word and a PacketID. All per-packet
@@ -41,7 +14,7 @@
 // released when the packet is delivered or dropped. Flits are therefore
 // plain values on wires and in buffers, and the steady-state flit path
 // performs no heap allocation (gated at 0 allocs/op by cmd/benchgate
-// -lower on BenchmarkStreamingSteadyState).
+// -lower on BenchmarkFlitSteadyState).
 //
 // # Multicast
 //

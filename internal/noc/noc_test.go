@@ -748,26 +748,16 @@ func TestVCDTraceCapturesHandshake(t *testing.T) {
 // TestRouterStatsMatchAcrossKernels: the span-integrated router stats
 // (WaitCycles, BufferedFlitCycles accumulated lazily while a router
 // sleeps through its routing delay) must equal the dense per-cycle
-// accumulation exactly, with and without time warping.
+// accumulation exactly, with and without time warping. Two workloads:
+// two small packets with a quiet span between them, and three opposing
+// 40-flit flows over depth-1 buffers, where receivers run out of space
+// constantly and every handshake stalls on backpressure.
 func TestRouterStatsMatchAcrossKernels(t *testing.T) {
-	run := func(dense, warp bool) []RouterStats {
-		cfg := Defaults(4, 1)
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!dense)
-		clk.SetTimeWarp(warp)
-		net, err := New(clk, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := net.NewEndpoint(Addr{0, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := net.NewEndpoint(Addr{3, 0}); err != nil {
-			t.Fatal(err)
-		}
-		// Two small packets with a quiet span between them: the second
-		// send keeps a later wake armed while routers sleep mid-delay.
+	type workload func(t *testing.T, clk *sim.Clock, net *Network)
+	quietSpan := func(t *testing.T, clk *sim.Clock, net *Network) {
+		// The second send keeps a later wake armed while routers sleep
+		// mid-delay.
+		src := net.Endpoint(Addr{0, 0})
 		m1, err := src.Send(Addr{3, 0}, []uint16{1})
 		if err != nil {
 			t.Fatal(err)
@@ -781,21 +771,66 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 		if err := clk.RunUntilQuiescent(100000); err != nil {
 			t.Fatal(err)
 		}
+	}
+	contention := func(t *testing.T, clk *sim.Clock, net *Network) {
+		payload := seq(40)
+		for k := 0; k < 3; k++ {
+			for _, f := range [][2]Addr{{{0, 0}, {0, 3}}, {{0, 3}, {0, 0}}, {{0, 1}, {0, 2}}} {
+				if _, err := net.Endpoint(f[0]).Send(f[1], payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := clk.RunUntilQuiescent(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if net.Delivered() != 9 {
+			t.Fatalf("delivered %d/9", net.Delivered())
+		}
+	}
+	fullBuffers := Defaults(1, 4)
+	fullBuffers.BufDepth = 1
+
+	run := func(cfg Config, w workload, dense, warp bool) []RouterStats {
+		clk := sim.NewClock()
+		clk.SetActivityScheduling(!dense)
+		clk.SetTimeWarp(warp)
+		net, err := New(clk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < cfg.Width; x++ {
+			for y := 0; y < cfg.Height; y++ {
+				if _, err := net.NewEndpoint(Addr{x, y}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		w(t, clk, net)
 		var out []RouterStats
 		for x := 0; x < cfg.Width; x++ {
-			out = append(out, net.Router(Addr{X: x, Y: 0}).Stats())
+			for y := 0; y < cfg.Height; y++ {
+				out = append(out, net.Router(Addr{X: x, Y: y}).Stats())
+			}
 		}
 		return out
 	}
-	ref := run(true, false)
-	for _, tc := range []struct {
-		name        string
-		dense, warp bool
-	}{{"sparse-nowarp", false, false}, {"sparse-warp", false, true}} {
-		got := run(tc.dense, tc.warp)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("%s: router %d stats diverge:\n  dense %+v\n  got   %+v", tc.name, i, ref[i], got[i])
+	for _, wl := range []struct {
+		name string
+		cfg  Config
+		w    workload
+	}{{"quiet-span", Defaults(4, 1), quietSpan}, {"full-buffers", fullBuffers, contention}} {
+		ref := run(wl.cfg, wl.w, true, false)
+		for _, tc := range []struct {
+			name        string
+			dense, warp bool
+		}{{"sparse-nowarp", false, false}, {"sparse-warp", false, true}} {
+			got := run(wl.cfg, wl.w, tc.dense, tc.warp)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("%s/%s: router %d stats diverge:\n  dense %+v\n  got   %+v",
+						wl.name, tc.name, i, ref[i], got[i])
+				}
 			}
 		}
 	}

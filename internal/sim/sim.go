@@ -93,15 +93,12 @@
 // *run-batching* their own periodic protocols: instead of stepping a
 // multi-cycle exchange wire by wire, a model that can prove the next n
 // cycles of the protocol are predetermined schedules WakeAt timers for
-// the cycles on which state actually changes and sleeps in between. The
-// UARTs batch a serial run this way (one timer per bit edge rather than
-// per clock), and the NoC batches its 2-cycle link handshake into one
-// event per flit while a wormhole connection is in steady state (see
-// internal/noc: event-per-flit streaming). The contract is the one
-// Idle() already imposes: every latch, counter update, and wire change
-// the batched span produces must land on exactly the cycle the stepped
-// model would produce it, so batching is invisible to differential
-// comparison.
+// the cycles on which state actually changes and sleeps in between.
+// The UARTs batch a serial run this way: one timer per bit edge rather
+// than per clock. The contract is the one Idle() already imposes: every
+// latch, counter update, and wire change the batched span produces must
+// land on exactly the cycle the stepped model would produce it, so
+// batching is invisible to differential comparison.
 //
 // # Clock domains and conservative parallelism
 //
@@ -426,9 +423,9 @@ func (c *Clock) wakeAtIndex(cycle uint64, i int) {
 		// ending at cycle+1) arming the immediately following step. The
 		// pending list already has exactly that meaning — it is drained
 		// by the next step's applyWakes — so the wake needs no timer.
-		// This is the cadence of batched flit transfers (one event every
-		// other cycle per streaming link), which would otherwise churn
-		// the timer heap once per flit per hop.
+		// Short model timers land here (an injector whose next gap is
+		// one cycle, for one), which would otherwise churn the timer
+		// heap once per event.
 		if !c.wakePending[i] {
 			c.wakePending[i] = true
 			c.pending = append(c.pending, i)
