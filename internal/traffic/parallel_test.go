@@ -207,3 +207,65 @@ func TestPartitionBoundaryStress(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamingPartitionBoundary: a lone long wormhole crossing every
+// strip boundary must stream its flits across the cross-domain links at
+// the same cadence as over local wires: per-packet network latency is
+// identical to the unsharded mesh in lockstep and in parallel, for 2-
+// and 4-way partitions, and 30 extra payload flits cost exactly 60
+// cycles under every partition.
+func TestStreamingPartitionBoundary(t *testing.T) {
+	latency := func(domains int, parallel bool, flits int) uint64 {
+		t.Helper()
+		cfg := noc.Defaults(8, 2)
+		var (
+			net *noc.Network
+			clk *sim.Clock
+			err error
+		)
+		if domains > 1 {
+			g := sim.NewGroup(domains)
+			g.SetParallel(parallel)
+			net, err = noc.NewSharded(g, cfg, noc.StripDomains(cfg, domains, 0))
+			clk = g.Clock(0)
+		} else {
+			clk = sim.NewClock()
+			net, err = noc.New(clk, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := net.NewEndpoint(noc.Addr{X: 0, Y: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.NewEndpoint(noc.Addr{X: 7, Y: 1}); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := src.Send(noc.Addr{X: 7, Y: 1}, make([]uint16, flits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := clk.RunUntilQuiescent(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if meta.EjectCycle == 0 {
+			t.Fatalf("domains=%d parallel=%v: %d-flit packet not delivered", domains, parallel, flits)
+		}
+		return meta.NetworkLatency()
+	}
+	ref30, ref60 := latency(1, false, 30), latency(1, false, 60)
+	if ref60-ref30 != 60 {
+		t.Errorf("unsharded: 30 extra flits cost %d cycles, want 60", ref60-ref30)
+	}
+	for _, c := range []struct {
+		domains  int
+		parallel bool
+	}{{2, false}, {2, true}, {4, false}, {4, true}} {
+		l30, l60 := latency(c.domains, c.parallel, 30), latency(c.domains, c.parallel, 60)
+		if l30 != ref30 || l60 != ref60 {
+			t.Errorf("domains=%d parallel=%v: latencies %d/%d cycles, unsharded %d/%d",
+				c.domains, c.parallel, l30, l60, ref30, ref60)
+		}
+	}
+}
