@@ -12,14 +12,18 @@
 //	BenchmarkName/sub-8   10   123456 ns/op   42 extra/metric   ...
 //
 // becomes an entry with its iteration count and every value/unit pair
-// as a metric.
+// as a metric. The trailing -N that `go test` appends to a benchmark's
+// name when GOMAXPROCS is N > 1 is stripped, so entries recorded on
+// runners with different core counts keep matching names.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -31,9 +35,16 @@ type Entry struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-func main() {
+// procSuffix matches the -N GOMAXPROCS suffix of a benchmark name.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// benchName strips the GOMAXPROCS suffix from a benchmark name.
+func benchName(s string) string { return procSuffix.ReplaceAllString(s, "") }
+
+// parse collects the benchmark lines of `go test -bench` output.
+func parse(r io.Reader) ([]Entry, error) {
 	var entries []Entry
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
@@ -48,7 +59,7 @@ func main() {
 		if err != nil {
 			continue
 		}
-		e := Entry{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		e := Entry{Name: benchName(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -58,7 +69,12 @@ func main() {
 		}
 		entries = append(entries, e)
 	}
-	if err := sc.Err(); err != nil {
+	return entries, sc.Err()
+}
+
+func main() {
+	entries, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

@@ -28,9 +28,10 @@
 // stepped on registered tx/data/ack wires: the sender drives tx with a
 // flit, the receiver raises ack for one cycle when it accepts, and the
 // sender presents the next flit once it sees the ack. A port whose
-// handshake is at rest is skipped, and a router or endpoint with every
-// handshake at rest sleeps until the rising tx of an incoming link
-// wakes it. Flits themselves are two-word values — data plus a
+// handshake is at rest is skipped, and a router or endpoint sleeps
+// whenever every handshake it takes part in is waiting on a rising tx
+// or ack (sim.WatchRising) — even mid-wormhole, which is most cycles
+// of a saturated mesh. Flits themselves are two-word values — data plus a
 // noc.PacketID indexing a network-owned metadata table — so the
 // steady-state flit path allocates nothing.
 //

@@ -296,7 +296,7 @@ func TestWaitNotify(t *testing.T) {
 
 func TestNotifyBeforeWaitIsNotLost(t *testing.T) {
 	// Reversed race: the notify lands before P1 executes its wait; the
-	// pending-notify queue must absorb it (DESIGN.md §4.2).
+	// pending-notify count in procip.IP.wait must absorb it.
 	s := boot(t)
 	if _, err := s.LoadProgramDirect(1, `
 		LDI R6, 250      ; dawdle so the notify arrives first

@@ -65,10 +65,11 @@ func A6KernelSchedule(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "| %.3f | %d / %d | %.0f%% |\n", rate, mean, total, 100*float64(mean)/float64(total))
 	}
-	fmt.Fprintln(w, "\nWormhole switching holds every router on a packet's path active while the")
-	fmt.Fprintln(w, "packet drains (14 cycles per hop), so the mesh saturates its *activity* well")
-	fmt.Fprintln(w, "below link saturation; the kernel's win is at the low rates — and in the idle")
-	fmt.Fprintln(w, "phases of full-system runs, where the NoC sleeps while processors compute.")
+	fmt.Fprintln(w, "\nAn open wormhole spends most of each 2-cycle flit handshake waiting on a rising")
+	fmt.Fprintln(w, "tx or ack, and routers and endpoints sleep through those waits, so even past")
+	fmt.Fprintln(w, "saturation only a fraction of the mesh evaluates per cycle. The kernel gains")
+	fmt.Fprintln(w, "most at the low rates — and in the idle phases of full-system runs, where the")
+	fmt.Fprintln(w, "NoC sleeps while processors compute.")
 	return nil
 }
 

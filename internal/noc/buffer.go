@@ -16,7 +16,7 @@ type fifo struct {
 	stPop   bool
 }
 
-func newFifo(depth int) *fifo { return &fifo{slots: make([]Flit, depth)} }
+func newFifo(depth int) fifo { return fifo{slots: make([]Flit, depth)} }
 
 // Len reports the committed number of buffered flits.
 func (f *fifo) Len() int { return f.n }
@@ -36,7 +36,15 @@ func (f *fifo) At(i int) Flit {
 	if i < 0 || i >= f.n {
 		panic("noc: fifo index out of range")
 	}
-	return f.slots[(f.head+i)%len(f.slots)]
+	return f.slots[f.wrap(f.head+i)]
+}
+
+// wrap maps a slot index in [0, 2*Cap()) back into the ring.
+func (f *fifo) wrap(i int) int {
+	if i >= len(f.slots) {
+		i -= len(f.slots)
+	}
+	return i
 }
 
 // StagePush schedules fl to enter the buffer at the next clock edge. At
@@ -68,12 +76,12 @@ func (f *fifo) Commit() {
 		return
 	}
 	if f.stPop {
-		f.head = (f.head + 1) % len(f.slots)
+		f.head = f.wrap(f.head + 1)
 		f.n--
 		f.stPop = false
 	}
 	if f.hasPush {
-		f.slots[(f.head+f.n)%len(f.slots)] = f.stPush
+		f.slots[f.wrap(f.head+f.n)] = f.stPush
 		f.n++
 		f.hasPush = false
 	}

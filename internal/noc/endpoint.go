@@ -283,16 +283,31 @@ func (e *Endpoint) complete() {
 	e.clk.Wake(e.owner)
 }
 
-// Idle implements sim.Idler. An endpoint may sleep when its injection
-// queue is empty (committed and staged), both link handshakes are at
-// rest and no packet is mid-reassembly. It is woken by Send (staged
-// work), or by the rising tx of the link from its router (watched in
-// NewEndpoint). Completed packets waiting in rxDone do not keep it
-// awake: draining them is the owner's business, and the owner was woken
-// when they completed.
+// Idle implements sim.Idler. An endpoint sleeps whenever its next Eval
+// would stage nothing and every event that could change that is a
+// rising edge on a watched wire or an explicit wake. Concretely, the
+// endpoint is idle when:
+//
+//   - nothing is staged by Send or multicast forwarding;
+//   - the receive side is at rest: ack low and the router's tx low;
+//   - the sender is either busy with ack low (waiting for the router
+//     to accept) or idle with an empty injection queue.
+//
+// A packet mid-reassembly does not keep it awake: reassembly advances
+// only when a flit is accepted, and the next flit arrives on a rising
+// tx. It is woken by Send (staged work), by the rising tx of the link
+// from its router, or by the rising ack of the link to it (both watched
+// in NewEndpoint). Completed packets waiting in rxDone do not keep it
+// awake either: draining them is the owner's business, and the owner
+// was woken when they completed.
 func (e *Endpoint) Idle() bool {
-	return len(e.txq) == 0 && len(e.stSend) == 0 && len(e.stFwd) == 0 && !e.snd.busy &&
-		!e.rcv.ackHigh && !e.rcv.link.Tx.Get() && e.rxPhase == phaseHeader
+	if len(e.stSend) > 0 || len(e.stFwd) > 0 || e.rcv.ackHigh || e.rcv.link.Tx.Get() {
+		return false
+	}
+	if e.snd.busy {
+		return !e.snd.link.Ack.Get()
+	}
+	return len(e.txq) == 0
 }
 
 // Commit implements sim.Component.

@@ -75,10 +75,11 @@ func (s *sender) eval(hasNext func() bool, peek func() Flit, accepted func()) {
 			s.link.Data.Set(peek())
 			s.link.Tx.Set(true)
 			s.nBusy = true
-		} else if s.link.Tx.Peek() {
-			// Deassert only on the transition; re-staging an already-low
-			// tx every cycle would keep the idle link on the kernel's
-			// dirty-wire list for nothing.
+		} else if s.busy {
+			// Deassert only on the transition (the staged tx equals busy
+			// between cycles); re-staging an already-low tx every cycle
+			// would keep the idle link on the kernel's dirty-wire list
+			// for nothing.
 			s.link.Tx.Set(false)
 		}
 	}
@@ -102,7 +103,7 @@ func (r *receiver) eval(hasSpace func() bool, take func(Flit)) {
 	if accept {
 		take(r.link.Data.Get())
 	}
-	if accept != r.link.Ack.Peek() {
+	if accept != r.ackHigh { // the staged ack equals ackHigh between cycles
 		r.link.Ack.Set(accept)
 	}
 	r.nAckHigh = accept

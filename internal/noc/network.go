@@ -341,7 +341,8 @@ func (n *Network) newEndpoint(clk *sim.Clock, a Addr) (*Endpoint, error) {
 		snd:  sender{link: toRouter},
 		rcv:  receiver{link: fromRouter},
 	}
-	sim.Watch(fromRouter.Tx, ep)
+	sim.WatchRising(fromRouter.Tx, ep)
+	sim.WatchRising(toRouter.Ack, ep)
 	n.endpoints[a] = ep
 	clk.Register(ep)
 	ep.self = clk.Handle(ep)

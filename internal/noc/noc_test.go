@@ -748,11 +748,17 @@ func TestVCDTraceCapturesHandshake(t *testing.T) {
 
 // TestRouterStatsMatchAcrossKernels: the span-integrated router stats
 // (WaitCycles, BufferedFlitCycles accumulated lazily while a router
-// sleeps through its routing delay) must equal the dense per-cycle
-// accumulation exactly, with and without time warping. Two workloads:
-// two small packets with a quiet span between them, and three opposing
+// sleeps through its routing delay or a handshake stall) and the cycle
+// on which the run goes quiescent must equal the dense per-cycle
+// reference exactly, with and without time warping. Three workloads:
+// two small packets with a quiet span between them; three opposing
 // 40-flit flows over depth-1 buffers, where receivers run out of space
-// constantly and every handshake stalls on backpressure.
+// constantly and every handshake stalls on backpressure; and a hotspot
+// on a 4x4 mesh with depth-1 buffers, where every other node sends
+// 30-flit packets into one node so that open wormholes spend almost
+// all their cycles waiting on a rising tx or ack. The hotspot also
+// runs on two parallel clock domains, where the ack that wakes a
+// sleeping sender arrives through a mirror wire.
 func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 	type workload func(t *testing.T, clk *sim.Clock, net *Network)
 	quietSpan := func(t *testing.T, clk *sim.Clock, net *Network) {
@@ -789,14 +795,67 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 			t.Fatalf("delivered %d/9", net.Delivered())
 		}
 	}
+	hotspot := func(t *testing.T, clk *sim.Clock, net *Network) {
+		// Two rounds of sends, the second staged mid-drain, so stalls
+		// begin while earlier wormholes are still open.
+		spot := Addr{2, 1}
+		payload := seq(30)
+		sendAll := func() {
+			for x := 0; x < 4; x++ {
+				for y := 0; y < 4; y++ {
+					if a := (Addr{x, y}); a != spot {
+						if _, err := net.Endpoint(a).Send(spot, payload); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		sendAll()
+		clk.Run(300)
+		sendAll()
+		if err := clk.RunUntilQuiescent(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if net.Delivered() != 30 {
+			t.Fatalf("delivered %d/30", net.Delivered())
+		}
+	}
 	fullBuffers := Defaults(1, 4)
 	fullBuffers.BufDepth = 1
+	hotspotCfg := func(routeCycles int) Config {
+		cfg := Defaults(4, 4)
+		cfg.BufDepth = 1
+		cfg.RouteCycles = routeCycles
+		return cfg
+	}
 
-	run := func(cfg Config, w workload, dense, warp bool) []RouterStats {
-		clk := sim.NewClock()
-		clk.SetActivityScheduling(!dense)
-		clk.SetTimeWarp(warp)
-		net, err := New(clk, cfg)
+	type kernel struct {
+		name        string
+		dense, warp bool
+		domains     int // >1: parallel sharded run (column strips)
+	}
+	type result struct {
+		stats []RouterStats
+		cycle uint64
+	}
+	run := func(cfg Config, w workload, k kernel) result {
+		var clk *sim.Clock
+		var net *Network
+		var err error
+		if k.domains > 1 {
+			g := sim.NewGroup(k.domains)
+			g.SetParallel(true)
+			net, err = NewSharded(g, cfg, StripDomains(cfg, k.domains, 0))
+			if err == nil {
+				clk = net.Clock()
+			}
+		} else {
+			clk = sim.NewClock()
+			clk.SetActivityScheduling(!k.dense)
+			clk.SetTimeWarp(k.warp)
+			net, err = New(clk, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -808,29 +867,37 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 			}
 		}
 		w(t, clk, net)
-		var out []RouterStats
+		res := result{cycle: clk.Cycle()}
 		for x := 0; x < cfg.Width; x++ {
 			for y := 0; y < cfg.Height; y++ {
-				out = append(out, net.Router(Addr{X: x, Y: y}).Stats())
+				res.stats = append(res.stats, net.Router(Addr{X: x, Y: y}).Stats())
 			}
 		}
-		return out
+		return res
 	}
+	serial := []kernel{{"sparse-nowarp", false, false, 0}, {"sparse-warp", false, true, 0}}
+	withParallel := append(serial, kernel{"parallel2", false, true, 2})
 	for _, wl := range []struct {
-		name string
-		cfg  Config
-		w    workload
-	}{{"quiet-span", Defaults(4, 1), quietSpan}, {"full-buffers", fullBuffers, contention}} {
-		ref := run(wl.cfg, wl.w, true, false)
-		for _, tc := range []struct {
-			name        string
-			dense, warp bool
-		}{{"sparse-nowarp", false, false}, {"sparse-warp", false, true}} {
-			got := run(wl.cfg, wl.w, tc.dense, tc.warp)
-			for i := range ref {
-				if got[i] != ref[i] {
+		name    string
+		cfg     Config
+		w       workload
+		kernels []kernel
+	}{
+		{"quiet-span", Defaults(4, 1), quietSpan, serial},
+		{"full-buffers", fullBuffers, contention, serial},
+		{"hotspot-route4", hotspotCfg(4), hotspot, withParallel},
+		{"hotspot-route14", hotspotCfg(14), hotspot, withParallel},
+	} {
+		ref := run(wl.cfg, wl.w, kernel{name: "dense", dense: true})
+		for _, k := range wl.kernels {
+			got := run(wl.cfg, wl.w, k)
+			if got.cycle != ref.cycle {
+				t.Errorf("%s/%s: quiescent at cycle %d, dense at %d", wl.name, k.name, got.cycle, ref.cycle)
+			}
+			for i := range ref.stats {
+				if got.stats[i] != ref.stats[i] {
 					t.Errorf("%s/%s: router %d stats diverge:\n  dense %+v\n  got   %+v",
-						wl.name, tc.name, i, ref[i], got[i])
+						wl.name, k.name, i, ref.stats[i], got.stats[i])
 				}
 			}
 		}

@@ -22,7 +22,7 @@ const (
 type inPort struct {
 	port Port
 	rcv  receiver
-	buf  *fifo
+	buf  fifo
 
 	// registered state
 	route     Port // output port currently connected, PortNone if idle
@@ -170,14 +170,19 @@ func (r *Router) Stats() RouterStats {
 }
 
 // connectIn attaches the upstream link arriving at port p. The router
-// watches the link's tx so an arriving flit wakes it from idle sleep.
+// watches the link's rising tx so an arriving flit wakes it from sleep.
 func (r *Router) connectIn(p Port, l *Link) {
 	r.in[p].rcv.link = l
-	sim.Watch(l.Tx, r)
+	sim.WatchRising(l.Tx, r)
 }
 
-// connectOut attaches the downstream link leaving port p.
-func (r *Router) connectOut(p Port, l *Link) { r.out[p].snd.link = l }
+// connectOut attaches the downstream link leaving port p. The router
+// watches the link's rising ack so a sender waiting for its flit to be
+// accepted may sleep.
+func (r *Router) connectOut(p Port, l *Link) {
+	r.out[p].snd.link = l
+	sim.WatchRising(l.Ack, r)
+}
 
 // Name implements sim.Component.
 func (r *Router) Name() string { return fmt.Sprintf("router%s", r.addr) }
@@ -217,12 +222,9 @@ func (r *Router) Eval() {
 	// Output side: stream flits of established connections downstream.
 	for i := range r.out {
 		o := &r.out[i]
-		if o.snd.link == nil || o.src == PortNone {
-			if o.snd.link != nil && (o.snd.busy || o.snd.link.Tx.Peek()) {
-				// Finish deasserting tx on a just-closed connection;
-				// fully idle senders are skipped.
-				o.snd.eval(func() bool { return false }, func() Flit { return Flit{} }, func() {})
-			}
+		if o.src == PortNone {
+			// An unconnected sender is idle with tx low: the Eval that
+			// accepts a tail flit closes the connection and drops tx.
 			continue
 		}
 		p := &r.in[o.src]
@@ -325,35 +327,53 @@ func (r *Router) evalControl(anyRequest bool, evalNow uint64) {
 	r.stats.PacketsRouted++
 }
 
-// Idle implements sim.Idler. A router may sleep when every input port's
-// handshake is at rest (incoming tx low, ack low), no wormhole
-// connection is open (no route established, every parse state at the
-// header phase), and every output sender is idle. Buffered flits are
-// allowed only while the control logic is mid routing-delay: they are
-// headers (and trailing flits) parked waiting for the grant, nothing
-// about them changes until the completion timer armed in evalControl
-// fires, and the span-integrated stats account for the skipped cycles.
-// With the control idle, any buffered header is a request the next
-// Eval's arbiter scan must see, so the router stays awake. In the
-// sleepable states Eval stages nothing and drives every wire at its
-// rest value; the router is woken by the rising tx of an incoming link
-// (watched in connectIn) or by its routing-delay timer.
+// Idle implements sim.Idler. A router sleeps whenever its next Eval
+// would stage nothing and every event that could change that is a
+// rising edge on a watched wire or its routing-delay timer. Each open
+// wormhole spends most of the 2-cycle handshake in such a wait, so a
+// router stays asleep through it. Concretely, the router is idle when:
+//
+//   - no input port has ack high (its Eval would drop it);
+//   - no input port sees tx high with a free buffer slot (its Eval
+//     would accept the flit). With the buffer full the flit waits for
+//     a pop, which only this router's own awake Eval stages;
+//   - no header is requesting a route while the control logic is idle
+//     (the arbiter scan would serve it). Mid routing delay the
+//     completion timer armed in evalControl wakes the router;
+//   - every connected output is either busy with ack low (waiting for
+//     the downstream accept) or not busy with an empty source buffer
+//     (waiting for a flit to arrive on the input side), and no
+//     unconnected output is busy.
+//
+// It is woken by the rising tx of an incoming link (watched in
+// connectIn), the rising ack of an outgoing link (watched in
+// connectOut), or its routing-delay timer. Falling edges need no wake:
+// an input port with tx low has nothing to accept, and a sender ignores
+// its ack falling. The registered state is frozen while the router
+// sleeps, so Eval's span-integrated stats account for the skipped
+// cycles exactly.
 func (r *Router) Idle() bool {
 	serving := r.ctl.serving >= 0
 	for i := range r.in {
 		p := &r.in[i]
-		if p.route != PortNone || p.phase != phaseHeader || p.rcv.ackHigh {
+		if p.rcv.ackHigh {
 			return false
 		}
-		if !serving && p.buf.Len() > 0 {
+		if p.rcv.link != nil && p.rcv.link.Tx.Get() && p.buf.Free() > 0 {
 			return false
 		}
-		if p.rcv.link != nil && p.rcv.link.Tx.Get() {
+		if !serving && p.requestActive() {
 			return false
 		}
 	}
 	for i := range r.out {
-		if r.out[i].snd.busy {
+		o := &r.out[i]
+		switch {
+		case o.snd.busy:
+			if o.src == PortNone || o.snd.link.Ack.Get() {
+				return false
+			}
+		case o.src != PortNone && r.in[o.src].buf.Len() > 0:
 			return false
 		}
 	}

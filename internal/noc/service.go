@@ -40,7 +40,8 @@ func (s Service) String() string {
 }
 
 // Message is the decoded form of a service packet. Which fields are
-// meaningful depends on Svc; see the layout table in DESIGN.md §4.2.
+// meaningful depends on Svc; Encode documents each service's payload
+// layout.
 type Message struct {
 	Svc Service
 	// Src is the mesh address of the originating IP, carried in the

@@ -218,8 +218,9 @@ func (ip *IP) dispatch() {
 			ip.stats.NotifiesRecv++
 			ip.pendingNotifies[m.Proc]++
 		case noc.SvcWait:
-			// Registration of a waiter (DESIGN.md §4.2); wake-up
-			// correctness rides on notify, so this is bookkeeping.
+			// Registration of a waiter (the wait service, §2.1);
+			// wake-up correctness rides on notify, so this is
+			// bookkeeping.
 			ip.stats.WaitRegsRecv++
 		default:
 			ip.stats.PacketErrors++

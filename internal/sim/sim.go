@@ -29,6 +29,10 @@
 //     latches it, and the watcher evaluates in cycle k+1 — exactly the
 //     cycle in which a dense simulation would first observe the new
 //     value. Wake-on-change therefore preserves bit-identical results.
+//     sim.WatchRising narrows the wake to false→true edges of a bool
+//     wire, in the wire's domain and through its mirrors alike: a
+//     Hermes handshake side waiting on a rising tx or ack sleeps
+//     through the falling edges it ignores.
 //   - Clock.Wake — an explicit wake, used when state is handed to a
 //     sleeping component outside the wire protocol (e.g. a packet
 //     staged on an endpoint's injection queue, or a received packet

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -574,5 +575,81 @@ func TestDenseKernelEquivalence(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("cycle %d: sparse %d, dense %d", i, a[i], b[i])
 		}
+	}
+}
+
+// edgeWatcher sleeps immediately and records the cycles it evaluates.
+type edgeWatcher struct {
+	clk   *Clock
+	evals []uint64
+}
+
+func (w *edgeWatcher) Name() string { return "edgeWatcher" }
+func (w *edgeWatcher) Eval()        { w.evals = append(w.evals, w.clk.Cycle()+1) }
+func (w *edgeWatcher) Commit()      {}
+func (w *edgeWatcher) Idle() bool   { return true }
+
+// boolDriver drives a bool wire to a chosen value at chosen cycles.
+type boolDriver struct {
+	out    *Wire[bool]
+	clk    *Clock
+	values map[uint64]bool // set out to v during the eval of this cycle
+}
+
+func (d *boolDriver) Name() string { return "boolDriver" }
+func (d *boolDriver) Eval() {
+	if v, ok := d.values[d.clk.Cycle()+1]; ok {
+		d.out.Set(v)
+	}
+}
+func (d *boolDriver) Commit() {}
+
+// TestWatchRising: a WatchRising watcher is woken for the cycle after a
+// false→true edge only — not by a falling edge, nor by a re-Set to the
+// value the wire already holds — while a Watch watcher of the same wire
+// still wakes on both edges. A MirrorWire of the wire wakes its rising
+// watchers in the destination domain on the same cycles, under lockstep
+// and parallel Group runs alike.
+func TestWatchRising(t *testing.T) {
+	// Rise staged at 3, re-Set true at 5, fall at 7, rise at 9. Both
+	// watchers also evaluate on cycle 1, as every fresh component does.
+	values := map[uint64]bool{3: true, 5: true, 7: false, 9: true}
+	wantRising := []uint64{1, 4, 10}
+	wantAny := []uint64{1, 4, 8, 10}
+	check := func(name string, rising, onAny *edgeWatcher) {
+		t.Helper()
+		if !reflect.DeepEqual(rising.evals, wantRising) {
+			t.Errorf("%s: rising watcher evaluated at %v, want %v", name, rising.evals, wantRising)
+		}
+		if !reflect.DeepEqual(onAny.evals, wantAny) {
+			t.Errorf("%s: Watch watcher evaluated at %v, want %v", name, onAny.evals, wantAny)
+		}
+	}
+
+	clk := NewClock()
+	w := NewWire(clk, "w", false)
+	rising, onAny := &edgeWatcher{clk: clk}, &edgeWatcher{clk: clk}
+	WatchRising(w, rising)
+	Watch(w, onAny)
+	clk.Register(&boolDriver{out: w, clk: clk, values: values}, rising, onAny)
+	clk.Run(14)
+	check("single clock", rising, onAny)
+
+	for _, parallel := range []bool{false, true} {
+		g := NewGroup(2)
+		g.SetParallel(parallel)
+		src := NewWire(g.Clock(0), "w", false)
+		g.Clock(0).Register(&boolDriver{out: src, clk: g.Clock(0), values: values})
+		m := MirrorWire(src, g.Clock(1))
+		rising, onAny := &edgeWatcher{clk: g.Clock(1)}, &edgeWatcher{clk: g.Clock(1)}
+		WatchRising(m, rising)
+		Watch(m, onAny)
+		g.Clock(1).Register(rising, onAny)
+		g.Clock(0).Run(14)
+		name := "mirror, lockstep"
+		if parallel {
+			name = "mirror, parallel"
+		}
+		check(name, rising, onAny)
 	}
 }

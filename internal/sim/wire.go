@@ -9,24 +9,31 @@ package sim
 // latching on edges following a Set (an undriven wire holds its value by
 // definition), and watchers registered through Watch are woken whenever
 // an edge changes the latched value — the sensitivity-list mechanism
-// that lets a wire's reader sleep.
+// that lets a wire's reader sleep. WatchRising narrows that to the
+// false→true edges of a bool wire.
 type Wire[T any] struct {
 	cur, next T
+	dirty     bool
 	clk       *Clock
 	name      string
-	dirty     bool
 
-	// eq and watchers implement Watch; eq is nil until the first
-	// watcher registers. watcherIdx caches each watcher's component
-	// index (resolved lazily, since Watch may run before Register) so
-	// the latch-time wake avoids a map lookup per edge.
-	eq         func(a, b T) bool
-	watchers   []Component
-	watcherIdx []int
+	// eq and watchers implement Watch and WatchRising; eq is nil until
+	// the first watcher registers.
+	eq       func(a, b T) bool
+	watchers []watcher
 
 	// mirrors forward every latched change into other clock domains
 	// (one entry per MirrorWire made from this wire).
 	mirrors []func(v T)
+}
+
+// watcher is one component woken by a wire's edges. idx caches the
+// component's index, resolved lazily (Watch may run before Register),
+// so the latch-time wake avoids a map lookup per edge.
+type watcher struct {
+	comp   Component
+	idx    int32
+	rising bool // wake only when the value leaves its zero value
 }
 
 // NewWire creates a wire in clk's domain, carrying v both as the current
@@ -64,14 +71,7 @@ func (w *Wire[T]) Peek() T { return w.next }
 
 func (w *Wire[T]) latch() {
 	if w.eq != nil && !w.eq(w.cur, w.next) {
-		for k, comp := range w.watchers {
-			if i := w.watcherIdx[k]; i >= 0 {
-				w.clk.wakeIndex(i)
-			} else if i, ok := w.clk.index[comp]; ok {
-				w.watcherIdx[k] = i
-				w.clk.wakeIndex(i)
-			}
-		}
+		w.wakeWatchers(w.next)
 		for _, m := range w.mirrors {
 			m(w.next)
 		}
@@ -80,15 +80,25 @@ func (w *Wire[T]) latch() {
 	w.dirty = false
 }
 
-// wakeWatchers is the mirror-apply counterpart of the latch-time wake:
-// it wakes the wire's watchers without latching (a mirror has no staged
-// value of its own).
-func (w *Wire[T]) wakeWatchers() {
-	for k, comp := range w.watchers {
-		if i := w.watcherIdx[k]; i >= 0 {
-			w.clk.wakeIndex(i)
-		} else if i, ok := w.clk.index[comp]; ok {
-			w.watcherIdx[k] = i
+// wakeWatchers wakes the watchers of an edge that changed the wire's
+// value to v: every Watch watcher, and the WatchRising watchers only
+// when v is not the zero value (for a bool wire, a false→true edge).
+// It serves both the latch-time wake and mirror apply.
+func (w *Wire[T]) wakeWatchers(v T) {
+	if len(w.watchers) == 0 {
+		return
+	}
+	var zero T
+	rose := !w.eq(v, zero)
+	for k := range w.watchers {
+		wt := &w.watchers[k]
+		if wt.rising && !rose {
+			continue
+		}
+		if wt.idx >= 0 {
+			w.clk.wakeIndex(int(wt.idx))
+		} else if i, ok := w.clk.index[wt.comp]; ok {
+			wt.idx = int32(i)
 			w.clk.wakeIndex(i)
 		}
 	}
@@ -102,7 +112,7 @@ func (w *Wire[T]) applyMirror(val any) {
 	if !w.eq(w.cur, v) {
 		w.cur = v
 		w.next = v
-		w.wakeWatchers()
+		w.wakeWatchers(v)
 	}
 }
 
@@ -114,12 +124,29 @@ func (w *Wire[T]) applyMirror(val any) {
 // change detection needs T comparable, which the Wire type itself does
 // not require.)
 func Watch[T comparable](w *Wire[T], comps ...Component) {
+	addWatchers(w, false, comps)
+}
+
+// WatchRising is Watch restricted to rising edges: comps are woken only
+// when an edge latches w from false to true, in w's own domain and, for
+// a MirrorWire made from w, in the mirror's. It suits readers that
+// ignore the falling edge — a handshake sender waiting for ack, a
+// receiver waiting for tx — and keeps them asleep through it.
+func WatchRising(w *Wire[bool], comps ...Component) {
+	if w.eq == nil {
+		w.eq = eqBool // a plain func: the generic closure allocates per wire
+	}
+	addWatchers(w, true, comps)
+}
+
+func eqBool(a, b bool) bool { return a == b }
+
+func addWatchers[T comparable](w *Wire[T], rising bool, comps []Component) {
 	if w.eq == nil {
 		w.eq = func(a, b T) bool { return a == b }
 	}
-	w.watchers = append(w.watchers, comps...)
-	for range comps {
-		w.watcherIdx = append(w.watcherIdx, -1)
+	for _, c := range comps {
+		w.watchers = append(w.watchers, watcher{comp: c, idx: -1, rising: rising})
 	}
 }
 

@@ -304,6 +304,55 @@ func TestTimeWarpMatchesNoWarp(t *testing.T) {
 	}
 }
 
+// TestSaturatedMeshSleeps: at saturation every link carries a
+// wormhole, but each open wormhole spends most of the 2-cycle handshake
+// waiting on a rising tx or ack, and routers and endpoints sleep
+// through those waits. The mean number of components evaluated per
+// executed cycle must stay at most 35% of the components (about 56%
+// when an open connection or a non-empty queue kept them awake), and
+// the Result, and the cycle on which the drain goes quiescent, must
+// equal the dense kernel's.
+func TestSaturatedMeshSleeps(t *testing.T) {
+	cfg := noc.Defaults(8, 8)
+	run := func(dense bool) (Result, uint64, float64) {
+		var clk *sim.Clock
+		var active, executed uint64
+		tcfg := Config{
+			Rate: 0.40, PayloadFlits: 32, Seed: 1,
+			Warmup: 500, Measure: 1000, Drain: 100000,
+			DenseKernel: dense,
+			OnNetwork: func(n *noc.Network) {
+				clk = n.Clock()
+				clk.Probe(func(uint64) {
+					executed++
+					active += uint64(clk.ActiveCount())
+				})
+			},
+		}
+		res, err := Run(cfg, tcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := float64(active) / float64(executed) / float64(clk.ComponentCount())
+		return res, clk.Cycle(), frac
+	}
+	sparse, sparseEnd, frac := run(false)
+	dense, denseEnd, _ := run(true)
+	if sparse != dense {
+		t.Fatalf("kernels diverge:\n  sparse %+v\n  dense  %+v", sparse, dense)
+	}
+	if sparseEnd != denseEnd {
+		t.Errorf("drain quiescent at cycle %d, dense at %d", sparseEnd, denseEnd)
+	}
+	if sparse.MeasuredPackets == 0 {
+		t.Fatal("experiment measured no packets")
+	}
+	if frac > 0.35 {
+		t.Errorf("mean active components per executed cycle %.1f%% of all, want <= 35%%", 100*frac)
+	}
+	t.Logf("mean active components per executed cycle: %.1f%%", 100*frac)
+}
+
 // TestQuiescentMatchesDenseRunUntil: draining a mesh with
 // RunUntilQuiescent on the activity kernel delivers exactly the packets
 // (and per-packet latencies) that the dense kernel's predicate-polling
