@@ -35,12 +35,15 @@
 // noc.PacketID indexing a network-owned metadata table — so the
 // steady-state flit path allocates nothing.
 //
-// The system can additionally be sharded into GALS-style clock domains
-// (sim.Group): the mesh is partitioned into per-region domains
-// (noc.NewSharded, noc.StripDomains, core.Config.NoCDomains) whose
-// only coupling is mirror wires (sim.MirrorWire) with a one-cycle
-// boundary register — the conservative lookahead. Each domain owns its
-// active set, wake queue and timer heap and warps its own dead spans;
+// Every sim.Clock is a domain of a sim.Group — sim.NewClock is a
+// one-domain group — so one run loop and one dead-span rule serve a
+// single clock and a sharded system alike. The system can be sharded
+// into GALS-style clock domains: the mesh is partitioned into
+// per-region domains (noc.NewSharded, noc.StripDomains,
+// core.Config.NoCDomains) whose only coupling is mirror wires
+// (sim.MirrorWire) with a one-cycle boundary register — the
+// conservative lookahead. Each domain owns its active set, wake queue
+// and timer heap and warps its own dead spans;
 // in parallel mode (Group.SetParallel) every domain runs on its own
 // goroutine and may advance to min(upstream horizons) + 1, exchanging
 // wire changes as ordered cross-domain events. The contract for models
@@ -48,7 +51,7 @@
 // timers is warpable and shardable as-is, because a mirror delivers a
 // change with exactly a local wire's timing. Lockstep execution
 // (SetParallel(false), the default) is bit-identical to registering
-// everything on one Clock — traffic results, router statistics, VCD
+// everything on one domain — traffic results, router statistics, VCD
 // dumps, and full boot transcripts — and the parallel schedule is
 // deterministic for a fixed partition and reproduces the lockstep
 // results exactly.

@@ -44,8 +44,7 @@ type Config struct {
 	// NoCDomains shards the mesh into this many clock domains (column
 	// strips, see noc.StripDomains), leaving the host, Serial IP,
 	// processors and memories in the default domain 0; 0 or 1 builds
-	// the classic single-clock system. Results are bit-identical either
-	// way.
+	// a single-domain system. Results are bit-identical either way.
 	NoCDomains int
 	// NoCParallel runs the clock domains of a sharded system on
 	// separate goroutines (sim.Group.SetParallel). No effect unless
@@ -94,8 +93,8 @@ type System struct {
 	cfg Config
 
 	Clk *sim.Clock
-	// Group is the clock-domain group of a sharded system (NoCDomains >
-	// 1), nil otherwise. Clk is its domain 0 either way.
+	// Group is the system's clock-domain group: one domain unless
+	// NoCDomains > 1 shards the mesh. Clk is its domain 0.
 	Group  *sim.Group
 	Net    *noc.Network
 	Host   *host.Host
@@ -124,23 +123,17 @@ func New(cfg Config) (*System, error) {
 		}
 		ncfg = noc.Defaults(w, h)
 	}
-	var (
-		clk *sim.Clock
-		grp *sim.Group
-		net *noc.Network
-		err error
-	)
-	if cfg.NoCDomains > 1 {
-		// Domain 0 hosts everything outside the mesh; the mesh fills
-		// domains 1..NoCDomains as column strips.
-		grp = sim.NewGroup(cfg.NoCDomains + 1)
-		grp.SetParallel(cfg.NoCParallel)
-		net, err = noc.NewSharded(grp, ncfg, noc.StripDomains(ncfg, cfg.NoCDomains, 1))
-		clk = grp.Clock(0)
-	} else {
-		clk = sim.NewClock()
-		net, err = noc.New(clk, ncfg)
+	// Domain 0 hosts everything outside the mesh. With NoCDomains > 1
+	// the mesh fills domains 1..NoCDomains as column strips; otherwise
+	// it shares domain 0, the only one.
+	strips, base := cfg.NoCDomains, 1
+	if strips <= 1 {
+		strips, base = 1, 0
 	}
+	grp := sim.NewGroup(base + strips)
+	grp.SetParallel(cfg.NoCParallel)
+	net, err := noc.NewSharded(grp, ncfg, noc.StripDomains(ncfg, strips, base))
+	clk := grp.Clock(0)
 	if err != nil {
 		return nil, err
 	}

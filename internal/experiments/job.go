@@ -208,18 +208,14 @@ func (j TrafficJob) Validate() error {
 // trafficConfig assembles the traffic.Config for the (canonical) job.
 // Mesh-dependent pattern checks run in traffic.Config.Validate.
 func (j TrafficJob) trafficConfig() traffic.Config {
-	domains := j.Domains
-	if domains == 1 {
-		domains = 0
-	}
 	return traffic.Config{
 		Spec: j.patternSpec(), Rate: j.Rate, PayloadFlits: j.PayloadFlits,
 		Seed: j.Seed, Warmup: j.Warmup, Measure: j.Measure, Drain: j.Drain,
-		QueueCap: j.QueueCap, Domains: domains, Parallel: j.Parallel,
+		QueueCap: j.QueueCap, Domains: j.Domains, Parallel: j.Parallel,
 	}
 }
 
-// Run executes the job: an independent sim.Clock (or sharded Group),
+// Run executes the job: an independent sim.Group of clock domains,
 // mesh and injector set per call, so any number of jobs run
 // concurrently without sharing simulator state. ctx bounds the run in
 // wall-clock time and maxCycles (0 = unbounded) in simulated time; both

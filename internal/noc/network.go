@@ -79,8 +79,8 @@ func (c Config) Validate() error {
 
 // netShard holds the per-domain slice of the network's bookkeeping, so
 // endpoints in different clock domains allocate packet IDs and log
-// deliveries without sharing state across goroutines. An unsharded
-// network has exactly one shard.
+// deliveries without sharing state across goroutines. A network has one
+// shard per domain of its group.
 type netShard struct {
 	nextPktID uint64
 	// metas is the shard's slice of the network-owned packet-metadata
@@ -109,14 +109,13 @@ type netShard struct {
 }
 
 // Network is a complete Hermes mesh: routers, inter-router links and the
-// endpoints attached to Local ports. It lives in a caller-provided clock
-// domain — or, sharded, across the domains of a sim.Group, with routers
-// assigned per address and neighbour links crossing domain boundaries
-// as mirror-wire pairs.
+// endpoints attached to Local ports. It lives in the domains of one
+// sim.Group: New places every router in one caller-provided domain,
+// NewSharded assigns routers to domains per address, and neighbour
+// links crossing a domain boundary become mirror-wire pairs.
 type Network struct {
 	cfg       Config
-	clk       *sim.Clock // primary (domain-0) clock; the only one when unsharded
-	group     *sim.Group // nil when unsharded
+	clk       *sim.Clock // primary clock: New's clk, or domain 0 when sharded
 	domainOf  func(Addr) int
 	routers   [][]*Router
 	endpoints map[Addr]*Endpoint
@@ -126,7 +125,8 @@ type Network struct {
 
 // New builds the mesh and registers every router with clk.
 func New(clk *sim.Clock, cfg Config) (*Network, error) {
-	return buildNet(clk, nil, cfg, nil)
+	d := clk.Domain()
+	return buildNet(clk, cfg, func(Addr) int { return d })
 }
 
 // NewSharded builds the mesh across the clock domains of g, assigning
@@ -143,7 +143,7 @@ func NewSharded(g *sim.Group, cfg Config, domainOf func(Addr) int) (*Network, er
 	if domainOf == nil {
 		domainOf = func(Addr) int { return 0 }
 	}
-	return buildNet(g.Clock(0), g, cfg, domainOf)
+	return buildNet(g.Clock(0), cfg, domainOf)
 }
 
 // StripDomains partitions the mesh into d contiguous column strips,
@@ -153,21 +153,16 @@ func StripDomains(cfg Config, d, base int) func(Addr) int {
 	return func(a Addr) int { return base + a.X*d/cfg.Width }
 }
 
-func buildNet(clk *sim.Clock, g *sim.Group, cfg Config, domainOf func(Addr) int) (*Network, error) {
+func buildNet(clk *sim.Clock, cfg Config, domainOf func(Addr) int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	shards := 1
-	if g != nil {
-		shards = g.Domains()
 	}
 	n := &Network{
 		cfg:       cfg,
 		clk:       clk,
-		group:     g,
 		domainOf:  domainOf,
 		endpoints: make(map[Addr]*Endpoint),
-		shards:    make([]netShard, shards),
+		shards:    make([]netShard, clk.Group().Domains()),
 		pathMcast: true,
 	}
 	n.routers = make([][]*Router, cfg.Width)
@@ -253,28 +248,31 @@ func (n *Network) MulticastStats() MulticastStats {
 
 // clockAt resolves the clock domain owning address a.
 func (n *Network) clockAt(a Addr) (*sim.Clock, error) {
-	if n.group == nil {
-		return n.clk, nil
-	}
+	g := n.clk.Group()
 	d := n.domainOf(a)
-	if d < 0 || d >= n.group.Domains() {
-		return nil, fmt.Errorf("noc: router %s mapped to domain %d of %d", a, d, n.group.Domains())
+	if d < 0 || d >= g.Domains() {
+		return nil, fmt.Errorf("noc: router %s mapped to domain %d of %d", a, d, g.Domains())
 	}
-	return n.group.Clock(d), nil
+	return g.Clock(d), nil
 }
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clock returns the primary clock domain (the only one when the
-// network is unsharded; domain 0 — by convention the default domain of
-// non-NoC components — otherwise). Run/RunUntil*/Quiescent calls on it
-// drive the whole group.
+// Clock returns the primary clock domain (New's clock; domain 0 — by
+// convention the default domain of non-NoC components — for a sharded
+// network). Run/RunUntil*/Quiescent calls on it drive the whole group.
 func (n *Network) Clock() *sim.Clock { return n.clk }
 
-// Group returns the clock-domain group of a sharded network, nil when
-// unsharded.
-func (n *Network) Group() *sim.Group { return n.group }
+// Group returns the clock-domain group of a network spread over two or
+// more domains, nil when the group has a single domain (every Clock has
+// a group; nil here says there is no sharding to account for).
+func (n *Network) Group() *sim.Group {
+	if g := n.clk.Group(); g.Domains() > 1 {
+		return g
+	}
+	return nil
+}
 
 // Router returns the router at a, or nil when out of range.
 func (n *Network) Router(a Addr) *Router {
@@ -312,10 +310,7 @@ func (n *Network) newEndpoint(clk *sim.Clock, a Addr) (*Endpoint, error) {
 	if _, dup := n.endpoints[a]; dup {
 		return nil, fmt.Errorf("noc: endpoint at %s already exists", a)
 	}
-	if n.group == nil && clk != n.clk {
-		return nil, fmt.Errorf("noc: endpoint clock outside the network's domain")
-	}
-	if n.group != nil && clk.Group() != n.group {
+	if clk.Group() != n.clk.Group() {
 		return nil, fmt.Errorf("noc: endpoint clock outside the network's domain group")
 	}
 	dom := clk.Domain()

@@ -859,6 +859,11 @@ func TestRouterStatsMatchAcrossKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Every Clock has a Group, but a one-domain network reports none:
+		// harnesses read Group() == nil as "no sharding to account for".
+		if g := net.Group(); (g == nil) != (k.domains <= 1) {
+			t.Fatalf("%s: Group() = %v for %d domains, want nil exactly when unsharded", k.name, g, k.domains)
+		}
 		for x := 0; x < cfg.Width; x++ {
 			for y := 0; y < cfg.Height; y++ {
 				if _, err := net.NewEndpoint(Addr{x, y}); err != nil {

@@ -68,34 +68,28 @@ func run(t testing.TB, c *CPU, bus Bus, max int) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip decodes every 16-bit word. Exactly the
+// assigned encodings decode — 7 R-format and 4 I-format majors of 4096
+// words each, 10 J-format conditions (JMP's nine, JSR's one), 6 unary
+// and 9 system sub-ops of 256 words each: 51 456 in all — and every one
+// of them re-encodes to itself, so Encode and Decode are inverse
+// bijections between the legal words and the field-normalized
+// instructions.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	if err := quick.Check(func(op8, rt8, rs18, rs28, imm uint8) bool {
-		op := Op(op8 % uint8(NumOps))
-		in := Inst{Op: op, Rt: int(rt8 % 16), Rs1: int(rs18 % 16), Rs2: int(rs28 % 16),
-			Imm: imm, Disp: int8(imm)}
-		w, err := in.Encode()
+	const wantLegal = 51456
+	legal := 0
+	for w := 0; w < 1<<16; w++ {
+		in, err := Decode(uint16(w))
 		if err != nil {
-			return false
+			continue
 		}
-		out, err := Decode(w)
-		if err != nil {
-			return false
+		legal++
+		if got, err := in.Encode(); err != nil || got != uint16(w) {
+			t.Errorf("Encode(Decode(%#04x)) = %#04x, %v", w, got, err)
 		}
-		switch op.Fmt() {
-		case FmtR:
-			return out.Op == op && out.Rt == in.Rt && out.Rs1 == in.Rs1 && out.Rs2 == in.Rs2
-		case FmtI:
-			return out.Op == op && out.Rt == in.Rt && out.Imm == in.Imm
-		case FmtJ:
-			return out.Op == op && out.Disp == in.Disp
-		case FmtU:
-			return out.Op == op && out.Rt == in.Rt && out.Rs1 == in.Rs1
-		case FmtS:
-			return out.Op == op && out.Rt == in.Rt && out.Rs1 == in.Rs1
-		}
-		return false
-	}, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	}
+	if legal != wantLegal {
+		t.Errorf("%d words decode, want %d", legal, wantLegal)
 	}
 }
 

@@ -4,24 +4,32 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Group couples several clock domains into one GALS system simulating a
-// single shared timeline. Domains exchange state only through mirror
+// Group couples one or more clock domains into a GALS system simulating
+// a single shared timeline. Every Clock is a domain of a Group; NewClock
+// is a one-domain group. Domains exchange state only through mirror
 // wires (MirrorWire), whose one-cycle boundary latency is the lookahead
 // that lets each domain advance — and warp its own dead spans —
 // independently of its neighbours, up to min(upstream horizons) + 1.
 //
-// Run, RunUntilQuiescent and Step on any grouped Clock delegate here,
-// so harness code built against a single Clock drives a sharded system
-// unchanged. With SetParallel(false), the default, every domain
-// executes cycle c before any executes c+1 and the results are
-// bit-identical to registering everything on one Clock; with
-// SetParallel(true) each domain runs on its own goroutine under the
-// conservative horizon protocol, deterministic for a fixed partition.
+// Step, Run, RunUntil, RunUntilQuiescent and Quiescent on any Clock
+// delegate here, so harness code built against one Clock drives a
+// sharded system unchanged. With SetParallel(false), the default, every
+// domain executes cycle c before any executes c+1 and the results are
+// bit-identical to registering everything on one domain; with
+// SetParallel(true) on two or more domains each domain runs on its own
+// goroutine under the conservative horizon protocol, deterministic for
+// a fixed partition.
 type Group struct {
 	clocks   []*Clock
-	parallel bool
+	parallel bool // SetParallel(true) on a group of two or more domains
+	// mirrored records that some domain has an inbound mirror queue
+	// (set when the first MirrorWire is made); until then the lockstep
+	// step skips the mirror-drain sweep, so a one-domain group steps at
+	// the cost of its one domain.
+	mirrored bool
 	// quantum is the chunk size (in cycles) a parallel
 	// RunUntilQuiescent advances between quiescence checks; quiescence
 	// is a cross-domain predicate, so parallel drains join the
@@ -32,28 +40,31 @@ type Group struct {
 
 	// mu/cond/sleepers park domain goroutines blocked on an upstream
 	// horizon. sleepers counts parked (or about-to-park) goroutines so
-	// publishers can skip the lock-and-broadcast when nobody waits.
+	// publishers skip the lock-and-broadcast when nobody waits. The
+	// ordering that makes the skip safe: a waiter increments sleepers
+	// under mu *before* re-checking the horizons (and decrements it if
+	// the recheck passes); a publisher stores its horizon *before*
+	// loading sleepers. Both are sequentially consistent atomics, so
+	// either the waiter's recheck sees the new horizon, or the publisher
+	// sees sleepers > 0 and then takes mu — which the waiter holds until
+	// cond.Wait releases it — so its broadcast cannot be missed.
 	mu       sync.Mutex
-	cond     *sync.Cond
-	sleepers int
+	cond     sync.Cond // L = &mu; by value, saving every NewClock an allocation
+	sleepers atomic.Int32
 }
 
 // NewGroup creates a group of n empty clock domains sharing one
 // timeline. Components and wires are then built on the individual
-// domains (Clock(i)) exactly as on a standalone Clock; cross-domain
-// signals are carried by MirrorWire.
+// domains (Clock(i)); cross-domain signals are carried by MirrorWire.
 func NewGroup(n int) *Group {
 	if n < 1 {
 		panic("sim: NewGroup needs at least one domain")
 	}
 	g := &Group{quantum: 4096}
-	g.cond = sync.NewCond(&g.mu)
+	g.cond.L = &g.mu
 	g.clocks = make([]*Clock, n)
 	for i := range g.clocks {
-		c := NewClock()
-		c.group = g
-		c.domIdx = i
-		g.clocks[i] = c
+		g.clocks[i] = &Clock{group: g, domIdx: i, index: make(map[Component]int)}
 	}
 	return g
 }
@@ -70,11 +81,12 @@ func (g *Group) Cycle() uint64 { return g.clocks[0].cycle }
 
 // SetParallel selects parallel execution (one goroutine per domain) for
 // Run and RunUntilQuiescent. Off — the default — every call runs the
-// domains in serial lockstep, bit-identical to a single-Clock build.
+// domains in serial lockstep, bit-identical to a one-domain build. On a
+// one-domain group it is a no-op: there is nothing to run in parallel.
 // RunUntil is always lockstep: its predicate reads cross-domain state
 // after every cycle, which is exactly the synchronization parallel
 // execution relaxes.
-func (g *Group) SetParallel(on bool) { g.parallel = on }
+func (g *Group) SetParallel(on bool) { g.parallel = on && len(g.clocks) > 1 }
 
 // SetActivityScheduling applies Clock.SetActivityScheduling to every
 // domain.
@@ -118,61 +130,51 @@ func (g *Group) canceled() bool {
 	return false
 }
 
-// stepLockstep executes exactly one cycle in every domain: every
-// domain runs the state half of the cycle (Eval/Commit/latch), then —
-// once every producer has latched — the mirror events of this cycle
-// are delivered, and finally the observing half (probes, idle
-// retirement) runs. Delivering between the halves makes a mirror's
-// latched value visible to this cycle's probes on exactly the tick the
-// source latched it, so dumps of boundary routers match an unsharded
-// build byte for byte; the domain order within each sweep is
-// immaterial.
-func (g *Group) stepLockstep() {
+// lockstep advances every domain to the group's next event, never past
+// limit. First a group-wide warp: when every domain is dead
+// (warpTarget), all jump together to the earliest timer or pending
+// mirror event of any domain — the same conditions one domain holding
+// all components would apply. The domains share one cycle count and
+// the target only falls, so the span is skippable exactly when every
+// domain's check passes and some domain bounds it.
+//
+// Then exactly one cycle executes in every domain: the state half
+// (Eval/Commit/latch), then — once every producer has latched — the
+// mirror events of this cycle are delivered, and finally the observing
+// half (probes, idle retirement). Delivering between the halves makes
+// a mirror's latched value visible to this cycle's probes on exactly
+// the tick the source latched it, so dumps of boundary routers match an
+// unsharded build byte for byte; the domain order within each sweep is
+// immaterial. A group without mirror wires has nothing to deliver and
+// skips that sweep.
+func (g *Group) lockstep(limit uint64) {
+	target, ok := limit, true
+	for _, c := range g.clocks {
+		if target, ok = c.warpTarget(target); !ok {
+			break
+		}
+	}
+	if ok && target != warpUnbounded {
+		for _, c := range g.clocks {
+			c.jumpTo(target)
+		}
+	}
 	for _, c := range g.clocks {
 		c.stepCore()
 	}
-	for _, c := range g.clocks {
-		c.drainInbound()
+	if g.mirrored {
+		for _, c := range g.clocks {
+			c.drainInbound()
+		}
 	}
 	for _, c := range g.clocks {
 		c.stepFinish()
 	}
 }
 
-// warpLockstep jumps every domain over a group-wide dead span: all
-// domains dead, nothing staged, target capped by every domain's
-// earliest timer and earliest pending mirror event — the same
-// conditions a single Clock holding all components would apply.
-func (g *Group) warpLockstep(limit uint64) {
-	target := limit
-	for _, c := range g.clocks {
-		if c.dense || c.noWarp ||
-			len(c.activeList) != 0 || len(c.pending) != 0 || len(c.dirty) != 0 {
-			return
-		}
-		if len(c.timers) > 0 && c.timers[0].cycle < target {
-			target = c.timers[0].cycle
-		}
-		if c.inQ != nil {
-			if b := c.inboundBound(); b < target {
-				target = b
-			}
-		}
-	}
-	if target == warpUnbounded || target <= g.clocks[0].cycle+1 {
-		return
-	}
-	for _, c := range g.clocks {
-		c.jumpTo(target)
-	}
-}
-
 // Step advances the whole group to its next event: one lockstep cycle,
 // preceded by a group-wide warp over a dead span.
-func (g *Group) Step() {
-	g.warpLockstep(warpUnbounded)
-	g.stepLockstep()
-}
+func (g *Group) Step() { g.lockstep(warpUnbounded) }
 
 // Run advances the shared timeline by exactly n cycles.
 func (g *Group) Run(n uint64) {
@@ -185,23 +187,21 @@ func (g *Group) Run(n uint64) {
 		if g.canceled() {
 			return
 		}
-		g.warpLockstep(target)
-		g.stepLockstep()
+		g.lockstep(target)
 	}
 }
 
 // RunUntil steps the group in lockstep until pred returns true, or
 // fails with ErrTimeout after maxCycles. pred may read state anywhere
 // in the system; lockstep keeps every domain at the same cycle when it
-// runs, exactly as on a single Clock.
+// runs, exactly as on one domain.
 func (g *Group) RunUntil(pred func() bool, maxCycles uint64) error {
 	target := g.clocks[0].cycle + maxCycles
 	for g.clocks[0].cycle < target {
 		if g.canceled() {
 			return fmt.Errorf("%w at cycle %d", ErrCanceled, g.clocks[0].cycle)
 		}
-		g.warpLockstep(target)
-		g.stepLockstep()
+		g.lockstep(target)
 		if pred() {
 			return nil
 		}
@@ -248,8 +248,7 @@ func (g *Group) RunUntilQuiescent(maxCycles uint64) error {
 			}
 			g.runParallel(chunk)
 		} else {
-			g.warpLockstep(target)
-			g.stepLockstep()
+			g.lockstep(target)
 		}
 	}
 	if g.Quiescent() {
@@ -280,19 +279,9 @@ func (g *Group) rewindToQuiescence(floor uint64) {
 }
 
 // runParallel advances every domain to exactly the target cycle, one
-// goroutine per domain, under the conservative horizon protocol.
+// goroutine per domain, under the conservative horizon protocol. Only
+// groups of two or more domains run here (SetParallel).
 func (g *Group) runParallel(target uint64) {
-	if len(g.clocks) == 1 {
-		c := g.clocks[0]
-		for c.cycle < target {
-			if c.canceled() {
-				return
-			}
-			c.warp(target)
-			c.step()
-		}
-		return
-	}
 	for _, c := range g.clocks {
 		c.horizon.Store(c.cycle)
 	}
@@ -337,7 +326,9 @@ func (c *Clock) runDomain(target uint64) {
 				limit = h
 			}
 		}
-		c.warp(limit)
+		if t, ok := c.warpTarget(limit); ok {
+			c.jumpTo(t)
+		}
 		c.stepCore()
 		c.horizon.Store(c.cycle)
 		g.wakeSleepers()
@@ -369,11 +360,12 @@ func (c *Clock) waitUpstream(cyc uint64) {
 			runtime.Gosched()
 			continue
 		}
-		// Park. The recheck under the lock closes the race with a
-		// publisher: either the horizon store is visible here, or the
-		// publisher acquires the lock after us, sees sleepers > 0 and
-		// broadcasts.
+		// Park. Announce the sleeper before the recheck under the lock,
+		// closing the race with a publisher (see Group.sleepers): either
+		// the horizon store is visible here, or the publisher sees
+		// sleepers > 0 and broadcasts once cond.Wait has released mu.
 		g.mu.Lock()
+		g.sleepers.Add(1)
 		ok = true
 		for _, u := range c.upstream {
 			if g.clocks[u].horizon.Load() < cyc {
@@ -381,24 +373,26 @@ func (c *Clock) waitUpstream(cyc uint64) {
 				break
 			}
 		}
+		if !ok {
+			g.cond.Wait()
+		}
+		g.sleepers.Add(-1)
+		g.mu.Unlock()
 		if ok {
-			g.mu.Unlock()
 			return
 		}
-		g.sleepers++
-		g.cond.Wait()
-		g.sleepers--
-		g.mu.Unlock()
 	}
 }
 
-// wakeSleepers wakes parked domains after a horizon advance.
+// wakeSleepers wakes parked domains after a horizon advance. The caller
+// has already stored its horizon; the lock is taken only when some
+// domain is parked or about to park.
 func (g *Group) wakeSleepers() {
-	g.mu.Lock()
-	if g.sleepers > 0 {
+	if g.sleepers.Load() > 0 {
+		g.mu.Lock()
 		g.cond.Broadcast()
+		g.mu.Unlock()
 	}
-	g.mu.Unlock()
 }
 
 // crossEvent is one mirror-wire change crossing a domain boundary: the
@@ -466,6 +460,7 @@ func (q *crossQueue) drainTo(cycle uint64) bool {
 // fed by the src domain, and records the upstream dependency for the
 // horizon protocol.
 func (c *Clock) inQueueFrom(src *Clock) *crossQueue {
+	c.group.mirrored = true
 	if c.inQ == nil {
 		c.inQ = make([]*crossQueue, len(c.group.clocks))
 	}

@@ -89,8 +89,9 @@ func (t *tap) Idle() bool { return true }
 // ringTrace builds a beacon → relay → relay → relay pipeline whose
 // last output feeds back to a tap alongside the beacon (a full ring of
 // domain dependencies when sharded), runs it, and returns both taps'
-// traces. domains=0 builds the single-Clock reference; otherwise one
-// domain per stage with mirror wires across boundaries.
+// traces. domains=0 builds the reference: every stage in the one
+// domain of NewClock, joined by direct wires; otherwise one domain per
+// stage with mirror wires across boundaries.
 func ringTrace(t *testing.T, domains int, parallel bool, run uint64) ([][2]uint64, [][2]uint64) {
 	t.Helper()
 	const stages = 3
@@ -152,7 +153,14 @@ func ringTrace(t *testing.T, domains int, parallel bool, run uint64) ([][2]uint6
 	return endTap.seen, homeTap.seen
 }
 
+// TestGroupLockstepMatchesSingleClock checks mirror-wire timing: a
+// four-domain lockstep run must reproduce the one-domain, direct-wire
+// reference cycle for cycle. Both run through Group; NewClock is a
+// one-domain group.
 func TestGroupLockstepMatchesSingleClock(t *testing.T) {
+	if g := NewClock().Group(); g == nil || g.Domains() != 1 {
+		t.Fatalf("NewClock().Group() = %v, want a one-domain group", g)
+	}
 	wantEnd, wantHome := ringTrace(t, 0, false, 1000)
 	if len(wantEnd) == 0 || len(wantHome) == 0 {
 		t.Fatal("reference trace is empty; test is vacuous")
@@ -232,6 +240,31 @@ func TestGroupWarpSkipsDeadSpans(t *testing.T) {
 					parallel, i, executed[i], run)
 			}
 		}
+	}
+}
+
+// TestGroupStepWarpsToAnyDomainsTimer checks the group-wide dead-span
+// rule of Step, which has no cycle budget: with every domain asleep and
+// the only armed timer in the last domain, one Step must jump every
+// domain straight to that timer's cycle.
+func TestGroupStepWarpsToAnyDomainsTimer(t *testing.T) {
+	const fire = 500
+	g := NewGroup(3)
+	c2 := g.Clock(2)
+	b := &beacon{clk: c2, period: 1, next: fire, left: 1}
+	b.out = NewWire(c2, "b.out", 0)
+	c2.Register(b)
+	b.h = c2.Handle(b)
+	b.h.WakeAt(b.next)
+	g.Clock(0).Step() // the beacon evaluates once and retires
+	g.Clock(0).Step()
+	for i := 0; i < g.Domains(); i++ {
+		if got := g.Clock(i).Cycle(); got != fire {
+			t.Errorf("domain %d at cycle %d after the warped Step, want %d", i, got, fire)
+		}
+	}
+	if b.seq != 1 {
+		t.Errorf("beacon fired %d times, want 1", b.seq)
 	}
 }
 

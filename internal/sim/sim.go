@@ -107,11 +107,14 @@
 // # Clock domains and conservative parallelism
 //
 // A Clock is one clock domain: components, wires, an active set, a wake
-// queue and a timer heap of its own. A Group couples several domains
-// GALS-style — each domain is locally synchronous, and domains exchange
-// state only over mirror wires (MirrorWire), which carry a value across
-// the domain boundary with exactly the one-cycle latency an ordinary
-// wire has inside a domain. That latency is the lookahead that makes
+// queue and a timer heap of its own. Every Clock is a domain of a
+// Group: NewClock returns domain 0 of a new one-domain group, and the
+// run entry points of any Clock drive its whole group, so there is one
+// run loop for one domain and for many. A Group of several domains
+// couples them GALS-style — each domain is locally synchronous, and
+// domains exchange state only over mirror wires (MirrorWire), which
+// carry a value across the domain boundary with exactly the one-cycle
+// latency an ordinary wire has inside a domain. That latency is the lookahead that makes
 // conservative parallel simulation possible: a domain that has
 // completed cycle h cannot affect a neighbour before cycle h+1, so the
 // neighbour may freely simulate up to min(upstream horizons) + 1
@@ -123,17 +126,18 @@
 // Group.SetParallel selects between two executions of the same
 // semantics:
 //
-//   - Serial lockstep (the default): every domain executes cycle c
-//     before any executes c+1, with a group-wide warp when every domain
-//     is dead. This is bit-for-bit identical to registering all
-//     components on one Clock — the differential reference.
-//   - Parallel: one goroutine per domain, horizons exchanged through
-//     atomics, blocked domains parking on a condition variable. Results
-//     are deterministic for a fixed partition (each domain's execution
-//     is sequential and cross-domain values apply at fixed cycles) and
-//     bit-identical to lockstep in all simulation state; only the cycle
-//     at which budgeted drains stop may overshoot, which no state
-//     observes.
+//   - Serial lockstep (the default, and the only execution of a
+//     one-domain group): every domain executes cycle c before any
+//     executes c+1, with a group-wide warp when every domain is dead.
+//     This is bit-for-bit identical to registering all components on
+//     one domain — the differential reference.
+//   - Parallel (groups of two or more domains): one goroutine per
+//     domain, horizons exchanged through atomics, blocked domains
+//     parking on a condition variable. Results are deterministic for a
+//     fixed partition (each domain's execution is sequential and
+//     cross-domain values apply at fixed cycles) and bit-identical to
+//     lockstep in all simulation state; only the cycle at which
+//     budgeted drains stop may overshoot, which no state observes.
 //
 // The domain/horizon contract for models: a component must interact
 // with other domains only through mirror wires (never by calling
@@ -158,7 +162,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -200,7 +203,9 @@ type wakeTimer struct {
 }
 
 // Clock drives a set of components and wires with a shared synchronous
-// clock. The zero value is ready to use.
+// clock. It is one domain of a Group: NewClock makes a one-domain group,
+// NewGroup a group of several, and Step, Run, RunUntil,
+// RunUntilQuiescent and Quiescent on any Clock act on its whole group.
 type Clock struct {
 	comps  []Component
 	idlers []Idler // parallel to comps; nil entries never sleep
@@ -245,10 +250,11 @@ type Clock struct {
 	probes      []func(cycle uint64)
 	rangeProbes []func(from, to uint64)
 
-	// Domain coupling (nil/zero for a standalone clock). group links
-	// the clock into a Group of domains; inQ holds one event queue per
-	// upstream domain delivering mirror-wire changes; horizon publishes
-	// the completed cycle to downstream domains during parallel runs.
+	// Domain coupling. group is the Group the clock is a domain of;
+	// inQ holds one event queue per upstream domain delivering
+	// mirror-wire changes (nil until a MirrorWire feeds this domain);
+	// horizon publishes the completed cycle to downstream domains during
+	// parallel runs.
 	group    *Group
 	domIdx   int
 	inQ      []*crossQueue // one slot per domain; inQ[j] feeds from domain j
@@ -256,16 +262,14 @@ type Clock struct {
 	horizon  atomic.Uint64
 }
 
-// NewClock returns an empty clock domain.
-func NewClock() *Clock { return &Clock{} }
+// NewClock returns an empty clock domain: domain 0 of a new one-domain
+// Group.
+func NewClock() *Clock { return NewGroup(1).clocks[0] }
 
 // Register adds components to the clock domain. Registering the same
 // component twice double-clocks it; callers must not do that. Newly
 // registered components start active.
 func (c *Clock) Register(comps ...Component) {
-	if c.index == nil {
-		c.index = make(map[Component]int)
-	}
 	for _, comp := range comps {
 		i := len(c.comps)
 		c.index[comp] = i
@@ -308,49 +312,37 @@ func (c *Clock) ProbeRange(fn func(from, to uint64)) {
 // transiently while a parallel run is in flight.
 func (c *Clock) Cycle() uint64 { return c.cycle }
 
-// Domain reports the clock's index within its Group, 0 for a
-// standalone clock.
+// Domain reports the clock's index within its Group (0 for NewClock).
 func (c *Clock) Domain() int { return c.domIdx }
 
-// Group returns the group the clock belongs to, or nil for a
-// standalone clock.
+// Group returns the group the clock is a domain of; it is never nil.
 func (c *Clock) Group() *Group { return c.group }
 
-// ComponentCount reports how many components are registered. For a
-// clock in a Group it aggregates every domain, so harness code holding
-// any one domain keeps seeing the whole system.
+// ComponentCount reports how many components are registered across
+// every domain of the clock's group, so harness code holding any one
+// domain sees the whole system.
 func (c *Clock) ComponentCount() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += len(d.comps)
-		}
-		return t
+	t := 0
+	for _, d := range c.group.clocks {
+		t += len(d.comps)
 	}
-	return len(c.comps)
+	return t
 }
 
 // ActiveCount reports how many components will be evaluated next cycle
-// (pending wakes not yet applied). With activity scheduling disabled it
-// is the total component count. For a clock in a Group it aggregates
-// every domain, so existing harness predicates work unchanged on
-// sharded systems.
+// (pending wakes not yet applied), across every domain of the clock's
+// group. With activity scheduling disabled it is the total component
+// count.
 func (c *Clock) ActiveCount() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += d.activeCountLocal()
+	t := 0
+	for _, d := range c.group.clocks {
+		if d.dense {
+			t += len(d.comps)
+		} else {
+			t += len(d.activeList)
 		}
-		return t
 	}
-	return c.activeCountLocal()
-}
-
-func (c *Clock) activeCountLocal() int {
-	if c.dense {
-		return len(c.comps)
-	}
-	return len(c.activeList)
+	return t
 }
 
 // SetTimeWarp enables (the default) or disables dead-cycle skipping.
@@ -556,17 +548,14 @@ func (c *Clock) applyWakes() {
 }
 
 // PendingTimers reports how many WakeAt timers are armed (after
-// coalescing). It exists for tests and diagnostics. For a clock in a
-// Group it aggregates every domain.
+// coalescing) across every domain of the clock's group. It exists for
+// tests and diagnostics.
 func (c *Clock) PendingTimers() int {
-	if c.group != nil {
-		t := 0
-		for _, d := range c.group.clocks {
-			t += len(d.timers)
-		}
-		return t
+	t := 0
+	for _, d := range c.group.clocks {
+		t += len(d.timers)
 	}
-	return len(c.timers)
+	return t
 }
 
 // ErrCanceled reports that a run was stopped early by a cancellation
@@ -591,7 +580,7 @@ const cancelCheckStride = 64
 // group run, safe to call from the domain's goroutine: a hook that
 // reads a Clock must read only its own.
 //
-// For a grouped clock the hook covers this domain only; use
+// The hook covers this domain only; in a group of several domains use
 // Group.SetCancel to apply one hook to every domain, or install a
 // per-domain closure on each (the way a simulated-cycle budget is
 // enforced without cross-goroutine cycle reads).
@@ -626,37 +615,36 @@ func (c *Clock) canceled() bool {
 // budget and may jump to any armed timer.
 const warpUnbounded = ^uint64(0)
 
-// warp jumps the cycle counter over a dead span. A span is dead when
-// the active set is empty, no wakes are pending and no wire holds a
-// staged value: nothing can change until the earliest armed timer
-// fires, so the steps in between would execute nothing. The counter
-// jumps so that the next executed step ends at that timer's cycle —
-// or at limit, when the caller's budget (or the absence of any timer,
-// under a finite limit) caps the jump first. Skipped spans are
-// reported to ProbeRange hooks.
-func (c *Clock) warp(limit uint64) {
+// warpTarget is the kernel's one dead-span rule, applied per domain by
+// both the lockstep and the parallel run loops. A domain is dead when
+// activity scheduling and time warping are on, the active set is empty,
+// no wakes are pending and no wire holds a staged value: nothing in it
+// can change until its earliest armed timer fires or its earliest
+// pending inbound mirror event lands. warpTarget lowers limit (the
+// caller's cycle budget) to that first event's cycle and reports
+// whether the domain may jump there: it must be dead, and the target
+// must leave at least one cycle to skip. An unbounded target passes;
+// only Step runs without a budget, and its caller rejects an unbounded
+// jump once every domain has lowered the target.
+func (c *Clock) warpTarget(limit uint64) (uint64, bool) {
 	if c.dense || c.noWarp ||
 		len(c.activeList) != 0 || len(c.pending) != 0 || len(c.dirty) != 0 {
-		return
+		return 0, false
 	}
-	target := limit
-	if len(c.timers) > 0 && c.timers[0].cycle < target {
-		target = c.timers[0].cycle
+	if len(c.timers) > 0 && c.timers[0].cycle < limit {
+		limit = c.timers[0].cycle
 	}
 	if c.inQ != nil {
-		if b := c.inboundBound(); b < target {
-			target = b
+		if b := c.inboundBound(); b < limit {
+			limit = b
 		}
 	}
-	if target == warpUnbounded || target <= c.cycle+1 {
-		return
-	}
-	c.jumpTo(target)
+	return limit, limit > c.cycle+1
 }
 
 // jumpTo moves the counter so the next executed step ends at target,
 // reporting the skipped span to ProbeRange hooks. Callers must have
-// established that the span is dead.
+// established that the span is dead (warpTarget).
 func (c *Clock) jumpTo(target uint64) {
 	from := c.cycle + 1
 	c.cycle = target - 1
@@ -702,33 +690,19 @@ func (c *Clock) drainInbound() {
 	}
 }
 
-// Step advances the simulation to the next event. With time warping
-// enabled (the default) and the domain momentarily dead — no active
-// components, no pending wakes, no staged wires — the cycle counter
-// first jumps so that this step executes the earliest armed WakeAt
-// timer, skipping the dead cycles in between; otherwise (and always
-// with SetTimeWarp(false)) exactly one cycle executes: wake, Eval the
-// active set, Commit it, latch staged wires, then retire idle
+// Step advances the clock's group to the next event (Group.Step). With
+// time warping enabled (the default) and every domain momentarily dead
+// — no active components, no pending wakes, no staged wires — the cycle
+// counter first jumps so that this step executes the earliest armed
+// WakeAt timer, skipping the dead cycles in between; otherwise (and
+// always with SetTimeWarp(false)) exactly one cycle executes: wake,
+// Eval the active set, Commit it, latch staged wires, then retire idle
 // components.
-func (c *Clock) Step() {
-	if c.group != nil {
-		c.group.Step()
-		return
-	}
-	c.warp(warpUnbounded)
-	c.step()
-}
-
-// step executes exactly one clock cycle. Grouped domains run the two
-// halves with a mirror-event drain in between (see stepCore).
-func (c *Clock) step() {
-	c.stepCore()
-	c.stepFinish()
-}
+func (c *Clock) Step() { c.group.Step() }
 
 // stepCore is the state-changing half of a cycle: wake, Eval, Commit,
-// latch, advance the counter. For a grouped domain the group runner
-// inserts the inbound mirror-event drain between stepCore and
+// latch, advance the counter. When mirror wires feed the group the
+// runner inserts the inbound mirror-event drain between stepCore and
 // stepFinish — once every producer has latched this cycle — so the
 // cycle's probes observe mirrored values on exactly the tick the
 // source domain latched them, as an unsharded probe would.
@@ -807,73 +781,44 @@ func (c *Clock) stepFinish() {
 	}
 }
 
-// Run advances the simulation by exactly n cycles of simulated time.
-// Dead spans inside the window are warped over (never past the window's
-// end), so the number of executed steps may be far smaller than n. A
-// cancellation hook (SetCancel) firing mid-run makes Run return early,
-// with the cycle counter wherever the last executed step left it;
-// callers that arm a hook re-check its condition after Run returns.
-func (c *Clock) Run(n uint64) {
-	if c.group != nil {
-		c.group.Run(n)
-		return
-	}
-	target := c.cycle + n
-	for c.cycle < target {
-		if c.canceled() {
-			return
-		}
-		c.warp(target)
-		c.step()
-	}
-}
+// Run advances the clock's group by exactly n cycles of simulated time
+// (Group.Run). Dead spans inside the window are warped over (never past
+// the window's end), so the number of executed steps may be far smaller
+// than n. A cancellation hook (SetCancel) firing mid-run makes Run
+// return early, with the cycle counter wherever the last executed step
+// left it; callers that arm a hook re-check its condition after Run
+// returns.
+func (c *Clock) Run(n uint64) { c.group.Run(n) }
 
 // ErrTimeout reports that RunUntil or RunUntilQuiescent exhausted its
 // cycle budget before the stop condition became true.
 var ErrTimeout = errors.New("sim: watchdog timeout")
 
-// RunUntil steps the clock until pred returns true, or fails with
-// ErrTimeout after maxCycles additional cycles of simulated time. pred
-// is evaluated after each executed cycle commits; cycles skipped by
-// time warping cannot change state, so a predicate over simulation
-// state flips at exactly the same cycle either way.
+// RunUntil steps the clock's group until pred returns true, or fails
+// with ErrTimeout after maxCycles additional cycles of simulated time
+// (Group.RunUntil). pred is evaluated after each executed cycle
+// commits; cycles skipped by time warping cannot change state, so a
+// predicate over simulation state flips at exactly the same cycle
+// either way.
 func (c *Clock) RunUntil(pred func() bool, maxCycles uint64) error {
-	if c.group != nil {
-		return c.group.RunUntil(pred, maxCycles)
-	}
-	target := c.cycle + maxCycles
-	for c.cycle < target {
-		if c.canceled() {
-			return fmt.Errorf("%w at cycle %d", ErrCanceled, c.cycle)
-		}
-		c.warp(target)
-		c.step()
-		if pred() {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w after %d cycles", ErrTimeout, maxCycles)
+	return c.group.RunUntil(pred, maxCycles)
 }
 
-// Quiescent reports whether the simulation can make no further progress
-// on its own: every component is asleep (or reports Idle, in dense
-// mode), no wakes are pending, no timers are armed and no wire has a
-// staged value awaiting an edge. External stimulus — a Send on an
-// endpoint, bytes queued on a UART — ends quiescence.
+// Quiescent reports whether the clock's group can make no further
+// progress on its own (Group.Quiescent): every component is asleep (or
+// reports Idle, in dense mode), no wakes are pending, no timers are
+// armed, no wire has a staged value awaiting an edge and no mirror
+// event is in flight. External stimulus — a Send on an endpoint, bytes
+// queued on a UART — ends quiescence.
 //
 // A component that does not implement Idler never leaves the active
 // set, so a domain containing one can never report quiescence (its
 // simulation stays correct; only Quiescent/RunUntilQuiescent are
 // unavailable and callers fall back to their cycle budgets).
-func (c *Clock) Quiescent() bool {
-	if c.group != nil {
-		return c.group.Quiescent()
-	}
-	return c.quiescentLocal()
-}
+func (c *Clock) Quiescent() bool { return c.group.Quiescent() }
 
-// quiescentLocal is the single-domain quiescence test; a grouped domain
-// is additionally held awake by undelivered inbound mirror events.
+// quiescentLocal is the per-domain quiescence test; a domain is also
+// held awake by undelivered inbound mirror events.
 func (c *Clock) quiescentLocal() bool {
 	if len(c.dirty) > 0 {
 		return false
@@ -900,28 +845,12 @@ func (c *Clock) quiescentLocal() bool {
 	return len(c.activeList) == 0 && len(c.pending) == 0 && len(c.timers) == 0
 }
 
-// RunUntilQuiescent steps the clock until the simulation is quiescent —
-// all in-flight activity has drained — or fails with ErrTimeout after
-// maxCycles. It replaces the "run a generous fixed cycle count and hope
-// everything drained" idiom: drivers stop exactly when the hardware
-// does, without polling a predicate every cycle.
+// RunUntilQuiescent steps the clock's group until the simulation is
+// quiescent — all in-flight activity has drained — or fails with
+// ErrTimeout after maxCycles (Group.RunUntilQuiescent). It replaces the
+// "run a generous fixed cycle count and hope everything drained" idiom:
+// drivers stop exactly when the hardware does, without polling a
+// predicate every cycle.
 func (c *Clock) RunUntilQuiescent(maxCycles uint64) error {
-	if c.group != nil {
-		return c.group.RunUntilQuiescent(maxCycles)
-	}
-	target := c.cycle + maxCycles
-	for c.cycle < target {
-		if c.quiescentLocal() {
-			return nil
-		}
-		if c.canceled() {
-			return fmt.Errorf("%w at cycle %d", ErrCanceled, c.cycle)
-		}
-		c.warp(target)
-		c.step()
-	}
-	if c.quiescentLocal() {
-		return nil
-	}
-	return fmt.Errorf("%w: not quiescent after %d cycles", ErrTimeout, maxCycles)
+	return c.group.RunUntilQuiescent(maxCycles)
 }

@@ -159,7 +159,7 @@ func addWatchers[T comparable](w *Wire[T], rising bool, comps []Component) {
 // has no driver; calling Set on it is a protocol violation, as is
 // mirroring between clocks of different groups or within one domain.
 func MirrorWire[T comparable](src *Wire[T], dst *Clock) *Wire[T] {
-	if src.clk.group == nil || src.clk.group != dst.group {
+	if src.clk.group != dst.group {
 		panic("sim: MirrorWire requires both clocks in one Group")
 	}
 	if src.clk == dst {

@@ -118,7 +118,7 @@ type Config struct {
 	// differential tests and speedup benchmarks.
 	NoTimeWarp bool
 	// Domains shards the mesh into that many clock domains (contiguous
-	// column strips); 0 or 1 builds the classic single-domain network.
+	// column strips); 0 or 1 builds a single-domain network.
 	// Sharding alone does not change results: the cross-domain links
 	// keep identical cycle timing.
 	Domains int
@@ -251,9 +251,9 @@ type injector struct {
 	// traceIdx is the replay cursor.
 	trace    []TraceEntry
 	traceIdx int
-	// group, when non-nil, makes every injection a SendMulti to this
+	// mcGroup, when non-nil, makes every injection a SendMulti to this
 	// destination set.
-	group []noc.Addr
+	mcGroup []noc.Addr
 	// recording collects one TraceEntry per successful unicast send
 	// when enabled (RunRecorded).
 	recording bool
@@ -343,8 +343,8 @@ func (in *injector) Eval() {
 		}
 	case in.ep.QueuedFlits() > in.queueCap:
 		// Source-queue backpressure: skip this opportunity.
-	case in.group != nil:
-		if g, err := in.ep.SendMulti(in.group, make([]uint16, in.payload)); err == nil {
+	case in.mcGroup != nil:
+		if g, err := in.ep.SendMulti(in.mcGroup, make([]uint16, in.payload)); err == nil {
 			if now >= in.measureFrom && now <= in.measureTo {
 				in.measuredInjected += uint64((in.payload + 2) * len(g.Legs))
 				in.measured = append(in.measured, g.Legs...)
@@ -410,7 +410,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 	if burst != nil {
 		mode = modeBurst
 	}
-	var group []noc.Addr
+	var mcGroup []noc.Addr
 	var traceBySrc map[noc.Addr][]TraceEntry
 	if s := tcfg.Spec; s.Name != "" {
 		if p, err := s.destPattern(ncfg); err != nil {
@@ -429,53 +429,37 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 				sortTrace(es)
 			}
 		case "multicast":
-			group = s.Group
+			mcGroup = s.Group
 		}
 	}
-	var (
-		clk *sim.Clock
-		net *noc.Network
-		err error
-	)
-	// armCancel installs the wall-clock/cycle-budget cancellation hook
-	// on one clock domain. Each domain's closure reads only its own
-	// cycle counter, so the hook is safe on parallel runs.
-	armCancel := func(c *sim.Clock) {
-		ctx, limit := tcfg.Ctx, tcfg.MaxCycles
-		if ctx == nil && limit == 0 {
-			return
+	// One clock domain per column strip (one strip, the whole mesh, when
+	// Domains <= 1), each injector registered in its endpoint's domain so
+	// its RNG stream and timer heap stay domain-local.
+	domains := max(1, tcfg.Domains)
+	g := sim.NewGroup(domains)
+	g.SetActivityScheduling(!tcfg.DenseKernel)
+	g.SetTimeWarp(!tcfg.NoTimeWarp)
+	g.SetParallel(tcfg.Parallel)
+	// The wall-clock/cycle-budget cancellation hook: each domain's
+	// closure reads only its own cycle counter, so the hook is safe on
+	// parallel runs.
+	if ctx, limit := tcfg.Ctx, tcfg.MaxCycles; ctx != nil || limit > 0 {
+		for i := 0; i < domains; i++ {
+			c := g.Clock(i)
+			c.SetCancel(func() bool {
+				if ctx != nil && ctx.Err() != nil {
+					return true
+				}
+				return limit > 0 && c.Cycle() >= limit
+			})
 		}
-		c.SetCancel(func() bool {
-			if ctx != nil && ctx.Err() != nil {
-				return true
-			}
-			return limit > 0 && c.Cycle() >= limit
-		})
 	}
-	if tcfg.Domains > 1 {
-		// Sharded build: contiguous column strips, one clock domain per
-		// strip, each injector registered in its endpoint's domain so
-		// its RNG stream and timer heap stay domain-local.
-		g := sim.NewGroup(tcfg.Domains)
-		g.SetActivityScheduling(!tcfg.DenseKernel)
-		g.SetTimeWarp(!tcfg.NoTimeWarp)
-		g.SetParallel(tcfg.Parallel)
-		net, err = noc.NewSharded(g, ncfg, noc.StripDomains(ncfg, tcfg.Domains, 0))
-		clk = g.Clock(0)
-		for i := 0; i < g.Domains(); i++ {
-			armCancel(g.Clock(i))
-		}
-	} else {
-		clk = sim.NewClock()
-		clk.SetActivityScheduling(!tcfg.DenseKernel)
-		clk.SetTimeWarp(!tcfg.NoTimeWarp)
-		armCancel(clk)
-		net, err = noc.New(clk, ncfg)
-	}
+	clk := g.Clock(0)
+	net, err := noc.NewSharded(g, ncfg, noc.StripDomains(ncfg, domains, 0))
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if group != nil {
+	if mcGroup != nil {
 		net.SetPathMulticast(!tcfg.Spec.MulticastUnicast)
 	}
 	// overBudget classifies a cancelled (or budget-straddling) run after
@@ -509,7 +493,7 @@ func run(ncfg noc.Config, tcfg Config, record bool) (Result, []TraceEntry, error
 				payload:   tcfg.PayloadFlits,
 				queueCap:  tcfg.QueueCap,
 				mode:      mode,
-				group:     group,
+				mcGroup:   mcGroup,
 				recording: record,
 				// Injection opportunities span cycles 1..warmup+measure;
 				// the measurement window is its tail.
